@@ -6,7 +6,9 @@
 #   make test        - quick gate: build + tests (the ROADMAP tier-1 command)
 #   make check       - full gate: vet + staticcheck (if installed) + build
 #                      + race-enabled shuffled tests + HTTP serve smoke
-#                      test (~3 min)
+#                      test + perfbench vet/tests (~3 min)
+#   make perfbench-test - vet and test the perfbench module, which the
+#                      root ./... never compiles (it is its own module)
 #   make chaos       - crash harness: build the real binary, SIGKILL it
 #                      mid-job, restart, assert byte-identical recovery
 #                      (forks processes; kept out of `make check`)
@@ -22,20 +24,13 @@
 #                      screen must simulate >=3x fewer candidates, its
 #                      journal entries must be a byte-identical subset
 #                      of the grid's, and the frontiers must match
-#   make bench       - Go benchmarks + serial-vs-parallel engine timing
-#                      and server hot/cold throughput (writes BENCH_platform.json)
-#                      + the hot-path harness below
-#   make bench-sim   - hot-path perf harness: cycle-loop, solver,
-#                      quick-sweep and batched-sweep numbers (writes
-#                      BENCH_sim.json; see DESIGN.md "Performance").
-#                      BATCH=N forces N lanes per lockstep batch
-#                      (default 0 = auto).
+#   make bench       - Go benchmarks. The end-to-end and per-layer
+#                      benchmark is `bash perfbench/run.sh` (see
+#                      BENCHMARK.json and perfbench/README.md).
 
 GO ?= go
-# Lanes per lockstep batch for the bench-sim batch sweep (0 = auto).
-BATCH ?= 0
 
-.PHONY: all build test vet staticcheck race check chaos bench bench-sim serve-smoke shard-smoke surrogate-smoke
+.PHONY: all build test vet staticcheck race check chaos bench perfbench-test serve-smoke shard-smoke surrogate-smoke
 
 all: check
 
@@ -74,11 +69,12 @@ surrogate-smoke: build
 chaos:
 	$(GO) test -tags chaos -run TestChaos -v ./internal/jobs/
 
-check: vet staticcheck build race serve-smoke
+# perfbench is its own Go module, so the root ./... never builds it
+# against the API it drives; vet and test it here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-bench: bench-sim
+check: vet staticcheck build race serve-smoke perfbench-test
+
+bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/benchplatform -quick -o BENCH_platform.json
-
-bench-sim:
-	$(GO) run ./cmd/benchsim -o BENCH_sim.json -batch $(BATCH)

@@ -33,17 +33,33 @@ var goldenExperiments = []string{"fig3", "fig10", "fig17", "fig21", "fig23"}
 
 // goldenBytes renders the canonical quick-mode output the golden file
 // pins: the JSON reports of the subset experiments followed by the JSON
-// of a quick grid DSE run (seed 1, serial). batch selects the engine
-// path for the experiments (see Options.Batch: 0 auto-batched, >0
-// forced lane count, <0 legacy per-run) and lanes the DSE batch width
-// (see DSEConfig.BatchLanes) — every combination must produce the same
-// bytes, which is exactly what the golden variants below gate.
-func goldenBytes(t *testing.T, batch, lanes int) []byte {
+// of a quick grid DSE run (seed 1, serial).
+func goldenBytes(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	opt, cfg := goldenConfig()
+	return renderGolden(t, opt, cfg)
+}
+
+// goldenConfig returns the serial experiment options and DSE config
+// goldenBytes renders; the variant tests below change only scheduling
+// knobs on top of it, so they must reproduce the same bytes.
+func goldenConfig() (Options, DSEConfig) {
 	opt := QuickOptions()
 	opt.Workers = 1
-	opt.Batch = batch
+	return opt, DSEConfig{
+		Space:    DefaultDSESpace(true),
+		Strategy: "grid",
+		Seed:     1,
+		Sim:      QuickOptions().Sim,
+		Workers:  1,
+	}
+}
+
+// renderGolden runs the golden experiment subset under opt and the DSE
+// under cfg and renders them in the golden file's layout.
+func renderGolden(t *testing.T, opt Options, cfg DSEConfig) []byte {
+	t.Helper()
+	var buf bytes.Buffer
 	for _, id := range goldenExperiments {
 		r, err := RunExperiment(id, opt)
 		if err != nil {
@@ -57,14 +73,7 @@ func goldenBytes(t *testing.T, batch, lanes int) []byte {
 		buf.Write(b)
 		buf.WriteByte('\n')
 	}
-	res, err := RunDSE(context.Background(), DSEConfig{
-		Space:      DefaultDSESpace(true),
-		Strategy:   "grid",
-		Seed:       1,
-		Sim:        QuickOptions().Sim,
-		Workers:    1,
-		BatchLanes: lanes,
-	})
+	res, err := RunDSE(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("dse grid: %v", err)
 	}
@@ -102,14 +111,12 @@ func TestQuickOutputsDeterministic(t *testing.T) {
 	}
 }
 
-// TestGoldenQuickOutputs gates the default engine path (auto-batched
-// experiments, auto-lane DSE) against the golden bytes. The PerRun and
-// BatchOfOne variants below gate the legacy path and the degenerate
-// batch against the same file, so all three engines are pinned to one
-// set of bytes.
+// TestGoldenQuickOutputs gates the serial engine against the golden
+// bytes; the PerRun and BatchOfOne variants below gate other schedules
+// against the same file.
 func TestGoldenQuickOutputs(t *testing.T) {
 	path := filepath.Join("testdata", "golden_quick.json")
-	got := goldenBytes(t, 0, 0)
+	got := goldenBytes(t)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -123,24 +130,32 @@ func TestGoldenQuickOutputs(t *testing.T) {
 	compareGolden(t, got)
 }
 
-// TestGoldenQuickOutputsPerRun gates the legacy per-run engine path
-// (Batch = -1, single-lane DSE batches) against the same golden file:
-// the batching refactor must leave the original path byte-exact.
+// TestGoldenQuickOutputsPerRun gates the concurrent schedule of the
+// per-run engine against the same golden file: with Workers 4 the
+// sim.Runner fans every experiment spec out as its own System.Run and
+// the DSE evaluates its points in parallel, and neither may change a
+// byte of the serial output.
 func TestGoldenQuickOutputsPerRun(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by TestGoldenQuickOutputs")
 	}
-	compareGolden(t, goldenBytes(t, -1, -1))
+	opt, cfg := goldenConfig()
+	opt.Workers = 4
+	cfg.Workers = 4
+	compareGolden(t, renderGolden(t, opt, cfg))
 }
 
-// TestGoldenQuickOutputsBatchOfOne gates the degenerate batch — one
-// lane per batch — against the same golden file: a batch of one must
-// equal a plain run bit for bit.
+// TestGoldenQuickOutputsBatchOfOne gates the degenerate strategy batch
+// — the DSE engine accepting one candidate per batch, so it checkpoints
+// after every point — against the same golden file: batch size is a
+// scheduling knob and must leave the frontier bytes untouched.
 func TestGoldenQuickOutputsBatchOfOne(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by TestGoldenQuickOutputs")
 	}
-	compareGolden(t, goldenBytes(t, 1, 1))
+	opt, cfg := goldenConfig()
+	cfg.CheckpointEvery = 1
+	compareGolden(t, renderGolden(t, opt, cfg))
 }
 
 // compareGolden diffs got against testdata/golden_quick.json, failing

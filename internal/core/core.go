@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"cryowire/internal/noc"
-	"cryowire/internal/par"
 	"cryowire/internal/phys"
 	"cryowire/internal/pipeline"
 	"cryowire/internal/platform"
@@ -121,16 +120,17 @@ type Evaluation struct {
 // from cfg.Seed and lands by index, so the evaluation is identical at
 // any worker count.
 func (c *CryoWire) Evaluate(designs []sim.Design, profiles []workload.Profile, ref int, cfg sim.Config) (Evaluation, error) {
-	return c.EvaluateWith(nil, designs, profiles, ref, cfg)
+	r := &sim.Runner{Workers: cfg.Workers}
+	run := func(specs []sim.LaneSpec) ([]sim.Result, []error) { return r.RunCtx(cfg.Context(), specs) }
+	return c.EvaluateWith(run, designs, profiles, ref, cfg)
 }
 
 // EvaluateWith is Evaluate with a pluggable simulation runner: run
 // receives the whole design × workload grid as LaneSpecs (row-major,
 // wi*len(designs)+di) and returns index-aligned results and per-spec
-// errors. The experiment layer passes its batched, dedup-aware runner
-// here; nil falls back to the per-cell engine. Both paths produce
-// byte-identical evaluations — each cell is a pure function of its
-// spec.
+// errors. The experiment layer passes its runner with the sweep's
+// shared result cache here; every cell is a pure function of its spec,
+// so any runner produces byte-identical evaluations.
 func (c *CryoWire) EvaluateWith(run func([]sim.LaneSpec) ([]sim.Result, []error), designs []sim.Design, profiles []workload.Profile, ref int, cfg sim.Config) (Evaluation, error) {
 	if ref < 0 || ref >= len(designs) {
 		return Evaluation{}, fmt.Errorf("core: reference index %d out of range", ref)
@@ -147,47 +147,20 @@ func (c *CryoWire) EvaluateWith(run func([]sim.LaneSpec) ([]sim.Result, []error)
 	for wi := range ev.Perf {
 		ev.Perf[wi] = make([]float64, nd)
 	}
-	errs := make([]error, nw*nd)
-	if run != nil {
-		specs := make([]sim.LaneSpec, nw*nd)
-		for i := range specs {
-			specs[i] = sim.LaneSpec{Design: designs[i%nd], Profile: profiles[i/nd], Config: cfg}
-		}
-		results, rerrs := run(specs)
-		for i := range specs {
-			if rerrs[i] != nil {
-				errs[i] = rerrs[i]
-				continue
-			}
-			ev.Perf[i/nd][i%nd] = results[i].Performance
-		}
-	} else {
-		// The grid honors the config's context twice over: ForCtx stops
-		// handing out cells once it is done, and each in-flight simulation
-		// aborts between cycles (sim.Config carries the same context).
-		if err := par.ForCtx(cfg.Context(), nw*nd, cfg.Workers, func(i int) {
-			wi, di := i/nd, i%nd
-			s, err := sim.New(designs[di], profiles[wi], cfg)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := s.Run()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ev.Perf[wi][di] = res.Performance
-		}); err != nil {
-			return Evaluation{}, fmt.Errorf("core: evaluation canceled: %w", err)
-		}
+	specs := make([]sim.LaneSpec, nw*nd)
+	for i := range specs {
+		specs[i] = sim.LaneSpec{Design: designs[i%nd], Profile: profiles[i/nd], Config: cfg}
 	}
-	// Report the first error in grid order — the same one the serial
-	// loop would have stopped on.
+	results, errs := run(specs)
+	// Report the first error in grid order — the same one a serial loop
+	// would have stopped on.
 	for _, err := range errs {
 		if err != nil {
 			return Evaluation{}, err
 		}
+	}
+	for i, res := range results {
+		ev.Perf[i/nd][i%nd] = res.Performance
 	}
 	geo := make([]float64, nd)
 	for di := range designs {

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -222,5 +223,43 @@ func TestRunBudgetAndUnknownStrategy(t *testing.T) {
 	}
 	if res.Evaluated != 3 {
 		t.Fatalf("budget ignored: evaluated %d", res.Evaluated)
+	}
+}
+
+// TestConcurrentBatchesMatchSerial: a search evaluating its strategy
+// batches on four workers produces byte-identical output to the same
+// search run serially. Run under the race detector this also exercises
+// the concurrent evaluation path.
+func TestConcurrentBatchesMatchSerial(t *testing.T) {
+	base := Config{
+		Space:    DefaultSpace(true),
+		Strategy: StrategyGrid,
+		Budget:   8,
+		Seed:     5,
+		Sim:      quickSim(),
+		Platform: platform.New(),
+	}
+	serial := base
+	serial.Workers = 1
+	ref, err := Run(context.Background(), serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conc := base
+	conc.Workers = 4
+	got, err := Run(context.Background(), conc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := got.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, gb) {
+		t.Fatalf("concurrent run diverged from serial run:\n--- serial ---\n%s\n--- concurrent ---\n%s", want, gb)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cryowire/internal/mem"
+	"cryowire/internal/par"
 	"cryowire/internal/phys"
 	"cryowire/internal/pipeline"
 	"cryowire/internal/platform"
@@ -99,9 +100,8 @@ const evalCores = 64
 
 // candidateSpec derives the simulation a candidate needs: the core at
 // the point's depth/voltage and the design on the shared platform's
-// memoized NoC timings, packaged as a sim.LaneSpec so the engine can
-// batch candidates through the lockstep runner. The returned CoreSpec
-// feeds finishEval's power metrics.
+// memoized NoC timings, packaged as a sim.LaneSpec. The returned
+// CoreSpec feeds finishEval's power metrics.
 func candidateSpec(pf *platform.Platform, pt Point, prof workload.Profile, cfg sim.Config) (sim.LaneSpec, pipeline.CoreSpec, error) {
 	nomOp, err := pf.OpAt(pt.TempK)
 	if err != nil {
@@ -172,27 +172,35 @@ func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim
 	return e
 }
 
-// evaluate runs one candidate end to end through the single-run
-// engine: candidateSpec → sim.Run → finishEval. Deterministic: the
-// simulator seeds from cfg alone, so equal (point, cfg) pairs produce
-// bit-equal Evals at any worker count — and bit-equal to the same
-// candidate evaluated inside a batch, which drives the identical
-// spec through the identical lane code.
+// evaluate runs one candidate end to end: candidateSpec → sim.Runner
+// → finishEval. Deterministic: the simulator seeds from cfg alone, so
+// equal (point, cfg) pairs produce bit-equal Evals at any worker count.
 func evaluate(ctx context.Context, pf *platform.Platform, pt Point, prof workload.Profile, cfg sim.Config) (Eval, error) {
 	sp, core, err := candidateSpec(pf, pt, prof, cfg)
 	if err != nil {
 		return Eval{}, err
 	}
-	if ctx != nil {
-		sp.Config = sp.Config.WithContext(ctx)
-	}
-	s, err := sim.New(sp.Design, sp.Profile, sp.Config)
-	if err != nil {
-		return Eval{}, fmt.Errorf("dse: point %s: %w", pt, err)
-	}
-	res, err := s.Run()
+	res, err := (&sim.Runner{}).RunOne(ctx, sp)
 	if err != nil {
 		return Eval{}, fmt.Errorf("dse: point %s: %w", pt, err)
 	}
 	return finishEval(pf, pt, core, res), nil
+}
+
+// evaluateFresh evaluates the non-served candidates of one strategy
+// batch into evals/errs (index-aligned with fresh), one retryEval per
+// point on a par.ForCtx pool of cfg.Workers.
+func evaluateFresh(ctx context.Context, cfg Config, fresh []int, served []bool, evals []Eval, errs []error) error {
+	return par.ForCtx(ctx, len(fresh), cfg.Workers, func(k int) {
+		if served[k] {
+			return
+		}
+		pt := cfg.Space.At(fresh[k])
+		prof, err := cfg.Space.profileByName(pt.Workload)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		evals[k], errs[k] = retryEval(ctx, cfg, pt, prof)
+	})
 }

@@ -11,9 +11,7 @@ import (
 )
 
 // evalOverride, when non-nil, replaces candidate evaluation so tests
-// can inject transient failures. While installed, the engine takes the
-// per-point evaluation path (no batching) so the override observes
-// every attempt.
+// can inject transient failures and observe every attempt.
 var evalOverride func(ctx context.Context, pf *platform.Platform, pt Point, prof workload.Profile, cfg sim.Config) (Eval, error)
 
 // evalCandidate is the single-candidate evaluator behind the retry
@@ -35,15 +33,6 @@ const defaultRetryBackoff = 100 * time.Millisecond
 // (point, sim config), a retried success is bit-equal to a first-try
 // success — retries change availability, never the result bytes.
 func retryEval(ctx context.Context, cfg Config, pt Point, prof workload.Profile) (Eval, error) {
-	return retryEvalFrom(ctx, cfg, pt, prof, 0, nil)
-}
-
-// retryEvalFrom is retryEval entered with `used` attempts already spent
-// and their last failure. The batched engine uses it for per-lane
-// retry: a lane that failed inside a batch has consumed attempt one,
-// and its retries run the point alone — the rest of the batch is never
-// re-run. used == 0 is a fresh evaluation.
-func retryEvalFrom(ctx context.Context, cfg Config, pt Point, prof workload.Profile, used int, lastErr error) (Eval, error) {
 	attempts := cfg.RetryAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -52,10 +41,8 @@ func retryEvalFrom(ctx context.Context, cfg Config, pt Point, prof workload.Prof
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
 	}
-	if used > 0 && !retryable(ctx, lastErr) {
-		return Eval{}, lastErr
-	}
-	for a := used; a < attempts; a++ {
+	var lastErr error
+	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			if cfg.RetryNotify != nil {
 				cfg.RetryNotify(lastErr)

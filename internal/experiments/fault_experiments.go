@@ -37,8 +37,8 @@ func FaultSweep(opt Options) (*Report, error) {
 		return nil, err
 	}
 	designs := evaluationDesigns(opt)
-	// The design×rate grid runs through the batched runner; each cell
-	// builds its own lane from the same seeds, so the rows match a
+	// The design×rate grid runs through sim.Runner; each cell builds
+	// its own System from the same seeds, so the rows match a
 	// serial sweep exactly. The rel. IPC column needs each design's
 	// rate-0 result, so rows are assembled after the grid completes.
 	nr := len(rates)

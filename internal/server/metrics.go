@@ -134,18 +134,9 @@ func (m *metrics) renderProm(lru lruStats, pf platformStats, js *jobs.Stats) str
 	counter("cryowire_platform_cache_hits_total", "Model-derivation calls served from the shared platform cache.", pf.Hits)
 	counter("cryowire_platform_cache_misses_total", "Model artifacts actually derived by the shared platform cache.", pf.Misses)
 
-	bs := sim.ReadBatchStats()
-	counter("cryowire_sim_batches_total", "Lockstep simulation batches run.", bs.Batches)
-	counter("cryowire_sim_batch_lanes_total", "Simulation lanes carried by lockstep batches.", bs.Lanes)
-	counter("cryowire_sim_batch_cache_hits_total", "Lane specs served by batch dedup instead of simulating.", bs.CacheHits)
-	counter("cryowire_sim_batch_cache_misses_total", "Lane specs actually simulated by the batch runner.", bs.CacheMisses)
-	counter("cryowire_sim_batch_lane_failures_total", "Lanes that ended in a per-lane error.", bs.LaneFailures)
-	gauge("cryowire_sim_batch_lanes", "Simulation lanes currently running in lockstep batches.", float64(bs.ActiveLanes))
-	occupancy := 0.0
-	if bs.Batches > 0 {
-		occupancy = float64(bs.Lanes) / float64(bs.Batches)
-	}
-	gauge("cryowire_sim_batch_occupancy", "Mean lanes per batch over the process lifetime.", occupancy)
+	ds := sim.ReadDedupStats()
+	counter("cryowire_sim_batch_cache_hits_total", "Simulation specs served by dedup instead of simulating.", ds.Hits)
+	counter("cryowire_sim_batch_cache_misses_total", "Simulation specs actually simulated by the runner.", ds.Misses)
 
 	sur := surrogate.ReadStats()
 	counter("cryowire_surrogate_fits_total", "Surrogate models fitted from journals or in-run history.", sur.Fits)

@@ -156,11 +156,7 @@ func New(cfg Config) (*Server, error) {
 	s.runDSE = dse.Run
 	s.runStage = stage.Sweep
 	s.runSimulate = func(ctx context.Context, d sim.Design, w workload.Profile, cfg sim.Config) (sim.Result, error) {
-		sys, err := sim.New(d, w, cfg.WithContext(ctx))
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return sys.Run()
+		return (&sim.Runner{}).RunOne(ctx, sim.LaneSpec{Design: d, Profile: w, Config: cfg})
 	}
 	if cfg.JobsDir != "" {
 		mgr, err := jobs.Open(cfg.JobsDir, jobs.Options{Logger: cfg.Logger})

@@ -7,7 +7,7 @@ import (
 
 // Package-wide coordinator counters, monotonic since process start,
 // rendered by the server's /metrics as cryowire_shard_* — the same
-// pattern as sim's batch stats. Atomics cover the scalar counters; the
+// pattern as sim's dedup stats. Atomics cover the scalar counters; the
 // per-replica map takes a mutex because it is written once per HTTP
 // request, far off any hot path.
 type counters struct {

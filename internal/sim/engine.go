@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -537,73 +536,46 @@ func (s *lane) totalCommitted() float64 {
 // cycle loop's profile.
 const cancelCheckCycles = 1024
 
-// runControl is the loop bookkeeping of one lane's run — the state
-// the monolithic Run loop used to keep in locals, extracted so Batch
-// can interleave many lanes through one shared loop one slice of
-// cycles at a time.
-type runControl struct {
-	ctx  context.Context
-	done <-chan struct{}
-	wd   watchdogState
-	// warmup and total are the cycle counts at which measurement starts
-	// and the run ends; cycle counts Steps taken so far.
-	warmup, total, cycle int
-	measureStarted       bool
-	completedBase        int64
-	finished             bool
-	err                  error
-}
-
-// beginRun primes the loop bookkeeping from the lane's config.
-func (s *lane) beginRun(rc *runControl) {
-	rc.ctx = s.cfg.Context()
-	rc.done = rc.ctx.Done()
-	rc.wd = watchdogState{cfg: s.cfg.Watchdog.withDefaults()}
-	rc.warmup = s.cfg.WarmupCycles
-	rc.total = s.cfg.WarmupCycles + s.cfg.MeasureCycles
-}
-
-// runCycle advances the lane by one cycle (or performs the
-// warmup→measure transition / marks the run finished). It is a no-op
-// once the lane has finished or failed, so a lockstep batch can keep
-// calling it unconditionally. The context poll and watchdog cadence
-// are bit-identical to the former monolithic loop: both fire on the
-// post-Step cycle count, so a lane inside a batch sees exactly the
-// checks it would see running alone.
-func (s *lane) runCycle(rc *runControl) {
-	if rc.finished || rc.err != nil {
-		return
-	}
-	if !rc.measureStarted && rc.cycle == rc.warmup {
-		s.measuring = true
-		s.instrBase = s.totalCommitted()
-		rc.completedBase = s.completed
-		rc.measureStarted = true
-	}
-	if rc.cycle >= rc.total {
-		rc.finished = true
-		return
-	}
-	s.Step()
-	rc.cycle++
-	if rc.done != nil && rc.cycle%cancelCheckCycles == 0 {
-		select {
-		case <-rc.done:
-			rc.err = fmt.Errorf("sim: %s/%s canceled at cycle %d: %w",
-				s.design.Name, s.prof.Name, s.now, rc.ctx.Err())
-			return
-		default:
+// Run executes warmup + measurement and returns the result. The
+// watchdog samples the run every CheckInterval cycles; a deadlocked or
+// livelocked system returns a cycle-stamped *StallError instead of
+// spinning forever. If the config carries a context (Config.WithContext)
+// the run aborts between cycles once that context is done, so canceled
+// callers stop burning CPU mid-simulation rather than at the end. Both
+// checks fire on the post-Step cycle count.
+func (s *lane) Run() (Result, error) {
+	ctx := s.cfg.Context()
+	done := ctx.Done()
+	wd := watchdogState{cfg: s.cfg.Watchdog.withDefaults()}
+	warmup := s.cfg.WarmupCycles
+	total := warmup + s.cfg.MeasureCycles
+	var completedBase int64
+	for cycle := 0; ; {
+		if cycle == warmup {
+			s.measuring = true
+			s.instrBase = s.totalCommitted()
+			completedBase = s.completed
+		}
+		if cycle >= total {
+			break
+		}
+		s.Step()
+		cycle++
+		if done != nil && cycle%cancelCheckCycles == 0 {
+			select {
+			case <-done:
+				return Result{}, fmt.Errorf("sim: %s/%s canceled at cycle %d: %w",
+					s.design.Name, s.prof.Name, s.now, ctx.Err())
+			default:
+			}
+		}
+		if !s.cfg.Watchdog.Disabled && cycle%wd.cfg.CheckInterval == 0 {
+			if serr := s.checkWatchdog(&wd); serr != nil {
+				return Result{}, serr
+			}
 		}
 	}
-	if !s.cfg.Watchdog.Disabled && rc.cycle%rc.wd.cfg.CheckInterval == 0 {
-		if serr := s.checkWatchdog(&rc.wd); serr != nil {
-			rc.err = serr
-		}
-	}
-}
 
-// buildResult assembles the Result after the loop has finished.
-func (s *lane) buildResult(rc *runControl) Result {
 	instr := s.totalCommitted() - s.instrBase
 	ns := float64(s.cfg.MeasureCycles) / s.design.NoC.FreqGHz
 	res := Result{
@@ -612,7 +584,7 @@ func (s *lane) buildResult(rc *runControl) Result {
 		Instructions: instr,
 		NS:           ns,
 		Performance:  instr / ns,
-		Transactions: s.completed - rc.completedBase,
+		Transactions: s.completed - completedBase,
 	}
 	coreCyc := ns * s.design.Core.FreqGHz * float64(s.design.Cores)
 	res.IPC = instr / coreCyc
@@ -631,29 +603,7 @@ func (s *lane) buildResult(rc *runControl) Result {
 	}
 	res.Retransmits = s.netRetransmits()
 	res.DegradedBroadcastCycles = s.broadcastCycles()
-	return res
-}
-
-// Run executes warmup + measurement and returns the result. The
-// watchdog samples the run every CheckInterval cycles; a deadlocked or
-// livelocked system returns a cycle-stamped *StallError instead of
-// spinning forever. If the config carries a context (Config.WithContext)
-// the run aborts between cycles once that context is done, so canceled
-// callers stop burning CPU mid-simulation rather than at the end.
-//
-// Run is the batch-of-one view of the engine: it drives the same
-// beginRun/runCycle/buildResult sequence a Batch lane goes through, so
-// its output is bit-identical to the same spec run inside any batch.
-func (s *lane) Run() (Result, error) {
-	var rc runControl
-	s.beginRun(&rc)
-	for !rc.finished && rc.err == nil {
-		s.runCycle(&rc)
-	}
-	if rc.err != nil {
-		return Result{}, rc.err
-	}
-	return s.buildResult(&rc), nil
+	return res, nil
 }
 
 // netRetransmits totals NACK-forced retransmits across both networks.

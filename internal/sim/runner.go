@@ -8,17 +8,59 @@ import (
 
 	"cryowire/internal/fault"
 	"cryowire/internal/par"
+	"cryowire/internal/workload"
 )
+
+// LaneSpec names one simulation to run: the design × workload × config
+// triple a System is built from. It is the unit the Runner dedups and
+// schedules.
+type LaneSpec struct {
+	Design  Design
+	Profile workload.Profile
+	Config  Config
+}
+
+// LaneError is the typed per-spec failure of a Runner call: it names
+// which spec (position in the submitted slice) failed and on what
+// design × workload, and wraps the underlying cause so errors.Is/As see
+// through it (context cancellation, *StallError, validation errors).
+// One failed spec never aborts the others — they run to completion and
+// return their own results.
+type LaneError struct {
+	// Lane is the index of the failed spec in the slice the caller
+	// submitted to Runner.RunCtx.
+	Lane int
+	// Design and Workload echo the failed spec.
+	Design   string
+	Workload string
+	// Err is the underlying failure.
+	Err error
+}
+
+// Error implements error.
+func (e *LaneError) Error() string {
+	return fmt.Sprintf("sim: lane %d (%s/%s): %v", e.Lane, e.Design, e.Workload, e.Err)
+}
+
+// Unwrap exposes the cause to errors.Is/As.
+func (e *LaneError) Unwrap() error { return e.Err }
+
+// laneError stamps err as spec i's failure.
+func (sp LaneSpec) laneError(i int, err error) *LaneError {
+	return &LaneError{Lane: i, Design: sp.Design.Name, Workload: sp.Profile.Name, Err: err}
+}
 
 // fingerprint canonicalizes the spec for dedup. Evaluation is a pure
 // function of (Design, Profile, Config) — the determinism contract the
 // golden fixtures pin — so two specs with equal fingerprints produce
 // byte-identical Results. The context and Workers knobs never change
 // the output bytes and are excluded; Fault is dereferenced so equal
-// scenarios match regardless of pointer identity. Every reachable
-// field is a value type (strings, numbers, bools, fixed structs), so
-// %#v renders a canonical string: Go's float formatting is
+// scenarios match regardless of pointer identity. Every other reachable
+// field is a value type (strings, numbers, bools, fixed structs) or,
+// for the core's critical-path stage list, a slice of them, so %#v
+// renders a canonical string: Go's float formatting is
 // shortest-round-trip, meaning distinct values always print distinctly.
+// TestFingerprintFieldsAreValues enforces that premise.
 func (sp LaneSpec) fingerprint() string {
 	cfg := sp.Config
 	cfg.ctx = nil
@@ -60,156 +102,89 @@ func (c *ResultCache) put(key string, r Result) {
 	c.mu.Unlock()
 }
 
-// DefaultMaxBatchLanes caps auto-sized batches: past this lane count
-// the combined working sets thrash the cache and lockstep stops paying.
-const DefaultMaxBatchLanes = 16
-
-// BatchRunner runs a slice of LaneSpecs through the lockstep Batch
-// engine: it dedups identical specs (within the call and, with Cache,
-// across calls), partitions the remainder into batches, and runs the
-// batches — in parallel when Workers > 1. Results are index-aligned
-// with the submitted specs and bit-identical to running each spec
-// alone through System.Run.
-type BatchRunner struct {
-	// Lanes is the lane count per batch; 0 or negative picks an
-	// automatic size (pending specs split evenly across Workers, capped
-	// at DefaultMaxBatchLanes).
-	Lanes int
-	// Workers bounds concurrent batches; 0 or 1 runs batches serially.
+// Runner runs a slice of LaneSpecs: it dedups identical specs (within
+// the call and, with Cache, across calls) and runs each remaining spec
+// with one System.Run on a par.ForCtx pool. Results are index-aligned
+// with the submitted specs.
+type Runner struct {
+	// Workers bounds concurrent simulations; 0 or 1 runs them serially.
 	Workers int
 	// Cache, when non-nil, serves previously completed specs without
 	// re-simulating and records new completions.
 	Cache *ResultCache
 }
 
-// LanesFor reports the batch size the runner would use for n pending
-// specs (after dedup) — the value benchsim records as batch_lanes.
-func (r *BatchRunner) LanesFor(n int) int {
-	if r.Lanes > 0 {
-		return r.Lanes
-	}
-	w := r.Workers
-	if w < 1 {
-		w = 1
-	}
-	l := (n + w - 1) / w
-	if l > DefaultMaxBatchLanes {
-		l = DefaultMaxBatchLanes
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // RunCtx runs every spec and returns results and errors index-aligned
-// with specs. Failures are per-lane *LaneErrors (Lane = index into
+// with specs. Failures are per-spec *LaneErrors (Lane = index into
 // specs); one failed spec never aborts the others. ctx cancels the
-// whole call: lanes already running stop at their next cancellation
-// poll, batches not yet started are skipped, and every unfinished spec
-// reports a *LaneError wrapping ctx's error. Specs whose Config
-// already carries a context keep it; the rest inherit ctx.
-func (r *BatchRunner) RunCtx(ctx context.Context, specs []LaneSpec) ([]Result, []error) {
+// whole call: simulations already running stop at their next
+// cancellation poll, specs not yet started are skipped, and every
+// unfinished spec reports a *LaneError wrapping ctx's error. Specs
+// whose Config already carries a context keep it; the rest inherit ctx.
+func (r *Runner) RunCtx(ctx context.Context, specs []LaneSpec) ([]Result, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
-	run := make([]LaneSpec, len(specs))
-	copy(run, specs)
-	for i := range run {
-		if run[i].Config.ctx == nil {
-			run[i].Config = run[i].Config.WithContext(ctx)
-		}
-	}
 
 	// Dedup: cache hits resolve immediately; within the call the first
 	// occurrence of a fingerprint runs and later ones share its slot.
-	keys := make([]string, len(run))
-	primary := make(map[string]int, len(run))
+	keys := make([]string, len(specs))
+	primary := make(map[string]int, len(specs))
 	dups := make(map[int]int)
-	pending := make([]int, 0, len(run))
-	for i := range run {
-		keys[i] = run[i].fingerprint()
+	pending := make([]int, 0, len(specs))
+	for i := range specs {
+		keys[i] = specs[i].fingerprint()
 		if r.Cache != nil {
 			if res, ok := r.Cache.get(keys[i]); ok {
 				results[i] = res
-				bstats.cacheHits.Add(1)
+				dedup.hits.Add(1)
 				continue
 			}
 		}
 		if j, ok := primary[keys[i]]; ok {
 			dups[i] = j
-			bstats.cacheHits.Add(1)
+			dedup.hits.Add(1)
 			continue
 		}
 		primary[keys[i]] = i
 		pending = append(pending, i)
 	}
-	bstats.cacheMisses.Add(uint64(len(pending)))
+	dedup.misses.Add(uint64(len(pending)))
 
-	// Partition into batches and run them.
-	lanes := r.LanesFor(len(pending))
-	var batches [][]int
-	for start := 0; start < len(pending); start += lanes {
-		end := start + lanes
-		if end > len(pending) {
-			end = len(pending)
+	ran := make([]bool, len(pending))
+	perr := par.ForCtx(ctx, len(pending), r.Workers, func(k int) {
+		ran[k] = true
+		i := pending[k]
+		sp := specs[i]
+		if sp.Config.ctx == nil {
+			sp.Config = sp.Config.WithContext(ctx)
 		}
-		batches = append(batches, pending[start:end])
-	}
-	ran := make([]bool, len(batches))
-	runBatch := func(bi int) {
-		ran[bi] = true
-		idxs := batches[bi]
-		bs := make([]LaneSpec, len(idxs))
-		for k, si := range idxs {
-			bs[k] = run[si]
+		s, err := New(sp.Design, sp.Profile, sp.Config)
+		if err == nil {
+			results[i], err = s.Run()
 		}
-		res, es := NewBatch(bs).Run()
-		for k, si := range idxs {
-			if le, ok := es[k].(*LaneError); ok {
-				errs[si] = &LaneError{Lane: si, Design: le.Design, Workload: le.Workload, Err: le.Err}
-				continue
-			}
-			results[si] = res[k]
-			if r.Cache != nil {
-				r.Cache.put(keys[si], res[k])
-			}
+		if err != nil {
+			errs[i] = sp.laneError(i, err)
+			return
 		}
-	}
-	perr := error(nil)
-	if r.Workers > 1 && len(batches) > 1 {
-		perr = par.ForCtx(ctx, len(batches), r.Workers, runBatch)
-	} else {
-		for bi := range batches {
-			if err := ctx.Err(); err != nil {
-				break
-			}
-			runBatch(bi)
+		if r.Cache != nil {
+			r.Cache.put(keys[i], results[i])
 		}
-	}
-	// Batches skipped by cancellation: stamp their specs.
-	for bi, ok := range ran {
-		if ok {
-			continue
-		}
-		cause := ctx.Err()
-		if cause == nil {
-			cause = perr
-		}
-		if cause == nil {
-			cause = context.Canceled
-		}
-		for _, si := range batches[bi] {
-			errs[si] = &LaneError{Lane: si, Design: run[si].Design.Name, Workload: run[si].Profile.Name, Err: cause}
+	})
+	// Specs skipped by cancellation: par.ForCtx only stops early once
+	// ctx is done, so perr is ctx's error here.
+	for k, ok := range ran {
+		if !ok {
+			i := pending[k]
+			errs[i] = specs[i].laneError(i, perr)
 		}
 	}
 	// Resolve in-call duplicates against their primaries.
 	for i, j := range dups {
-		if errs[j] != nil {
-			le := errs[j].(*LaneError)
-			errs[i] = &LaneError{Lane: i, Design: le.Design, Workload: le.Workload, Err: le.Err}
+		if le, ok := errs[j].(*LaneError); ok {
+			errs[i] = specs[i].laneError(i, le.Err)
 			continue
 		}
 		results[i] = results[j]
@@ -217,40 +192,32 @@ func (r *BatchRunner) RunCtx(ctx context.Context, specs []LaneSpec) ([]Result, [
 	return results, errs
 }
 
-// BatchStats is the package-wide batching telemetry snapshot exposed
-// on /metrics.
-type BatchStats struct {
-	// Batches and Lanes count completed-or-started batch runs and the
-	// lanes they carried (occupancy = Lanes / Batches).
-	Batches uint64
-	Lanes   uint64
-	// CacheHits counts specs served by dedup (result cache or in-call
-	// duplicate); CacheMisses counts specs actually simulated.
-	CacheHits   uint64
-	CacheMisses uint64
-	// LaneFailures counts lanes that ended in a LaneError.
-	LaneFailures uint64
-	// ActiveBatches and ActiveLanes are the currently running gauges.
-	ActiveBatches int64
-	ActiveLanes   int64
-}
-
-var bstats struct {
-	batches, lanes             atomic.Uint64
-	cacheHits, cacheMisses     atomic.Uint64
-	laneFailures               atomic.Uint64
-	activeBatches, activeLanes atomic.Int64
-}
-
-// ReadBatchStats snapshots the batching counters.
-func ReadBatchStats() BatchStats {
-	return BatchStats{
-		Batches:       bstats.batches.Load(),
-		Lanes:         bstats.lanes.Load(),
-		CacheHits:     bstats.cacheHits.Load(),
-		CacheMisses:   bstats.cacheMisses.Load(),
-		LaneFailures:  bstats.laneFailures.Load(),
-		ActiveBatches: bstats.activeBatches.Load(),
-		ActiveLanes:   bstats.activeLanes.Load(),
+// RunOne runs a single spec through RunCtx and returns the failure's
+// cause rather than its *LaneError, so a one-off simulation reports
+// the same error a plain System.Run would while still counting in the
+// dedup statistics.
+func (r *Runner) RunOne(ctx context.Context, sp LaneSpec) (Result, error) {
+	res, errs := r.RunCtx(ctx, []LaneSpec{sp})
+	if le, ok := errs[0].(*LaneError); ok {
+		return Result{}, le.Err
 	}
+	return res[0], nil
+}
+
+// DedupStats is the package-wide dedup telemetry snapshot exposed on
+// /metrics.
+type DedupStats struct {
+	// Hits counts specs served by dedup (result cache or in-call
+	// duplicate); Misses counts specs actually simulated.
+	Hits   uint64
+	Misses uint64
+}
+
+var dedup struct {
+	hits, misses atomic.Uint64
+}
+
+// ReadDedupStats snapshots the dedup counters.
+func ReadDedupStats() DedupStats {
+	return DedupStats{Hits: dedup.hits.Load(), Misses: dedup.misses.Load()}
 }

@@ -256,13 +256,11 @@ type txn struct {
 
 // lane is the complete per-run mutable state of one simulation: the
 // design × profile × config triple plus every pool, queue, timing
-// wheel, RNG and counter the cycle loop touches. A System owns exactly
-// one lane; a Batch owns N of them in structure-of-arrays form
-// ([]lane) and drives them through one shared cycle loop. Lanes never
-// share mutable state — each has its own seeded RNG, wheel and free
-// lists — so a lane inside a batch is bit-identical to the same
-// simulation run alone. A lane must not be copied after init: the
-// network delivery hooks capture its address.
+// wheel, RNG and counter the cycle loop touches. Nothing in it is
+// shared between simulations — each has its own seeded RNG, wheel and
+// free lists — so independent runs on a Runner's pool never interact.
+// A lane must not be copied after init: the network delivery hooks
+// capture its address.
 type lane struct {
 	design Design
 	prof   workload.Profile
@@ -325,10 +323,9 @@ type lane struct {
 	stackCycl [bucketCount]float64
 }
 
-// System is a constructed simulation ready to run — the single-lane
-// view of the engine. Every engine method lives on the embedded lane,
-// so the public API (Step, Run) is unchanged while Batch drives the
-// same code over many lanes.
+// System is a constructed simulation ready to run. Every engine method
+// lives on the embedded lane and is promoted to the public API (Step,
+// Run).
 type System struct {
 	lane
 }
@@ -377,10 +374,9 @@ func New(d Design, p workload.Profile, cfg Config) (*System, error) {
 	return s, nil
 }
 
-// init builds the lane in place for the design × workload pair. It is
-// the whole of the former System constructor; NewBatch calls it on
-// preallocated []lane slots so the delivery hooks capture stable
-// addresses.
+// init builds the lane in place for the design × workload pair. New
+// calls it on the System's own lane, so the delivery hooks capture a
+// stable address.
 func (s *lane) init(d Design, p workload.Profile, cfg Config) error {
 	if err := d.Validate(); err != nil {
 		return err
